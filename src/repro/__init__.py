@@ -55,7 +55,7 @@ from repro.static import (
     verify_image,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

@@ -29,13 +29,7 @@ The surface, by layer:
 * **Simulators** (for bespoke studies) — :func:`run_frontend` (the
   unified entry point: ``mechanism=`` selects the frontend mechanism,
   ``partition=`` enables the dynamic TC/PB partition) and
-  :func:`run_processor` with their configuration types
-  (:func:`run_dynamic_frontend` remains as a deprecated shim); the
-  batched struct-of-arrays kernel behind ``simulator="vectorized"`` —
-  :data:`SIMULATOR_KINDS`, :class:`DecodedImage`, :class:`BatchPlan` /
-  :func:`build_plan` / :exc:`PlanMismatchError`, and
-  :func:`run_frontend_batch` (served lazily: numpy is only required
-  when the vectorized kernel is actually used);
+  :func:`run_processor` with their configuration types;
 * **Frontend-mechanism zoo** — :class:`FrontendMechanism` (the seam
   every competing frontend implements), :class:`MechanismContext`,
   :func:`register_mechanism` / :func:`mechanism_names` /
@@ -126,7 +120,6 @@ from repro.program import ProgramImage
 from repro.processor import ProcessorConfig, run_processor
 from repro.runner import (
     DEFAULT_INSTRUCTIONS,
-    SIMULATOR_KINDS,
     ExperimentRunner,
     ExperimentSpec,
     ResultCache,
@@ -145,7 +138,6 @@ from repro.runner import (
 from repro.sim import (
     DynamicPartitionConfig,
     FrontendConfig,
-    run_dynamic_frontend,
     run_frontend,
 )
 from repro.static import (
@@ -221,32 +213,15 @@ def predict(benchmark: str, *,
     return predict_coverage(workload.image)
 
 
-#: Names served lazily from :mod:`repro.vector`: the batched kernel
-#: needs numpy, and the default scalar pipeline must stay importable
-#: without it.
-_VECTOR_NAMES = ("BatchPlan", "DecodedImage", "PlanMismatchError",
-                 "build_plan", "run_frontend_batch")
-
-
-def __getattr__(name: str) -> object:
-    if name in _VECTOR_NAMES:
-        import repro.vector
-
-        return getattr(repro.vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # Sorted alphabetically (ASCII order); tests/test_api_surface.py keeps
 # this list in lockstep with the README's documented surface.
 __all__ = [
-    "BatchPlan",
     "BimodalPredictor",
     "COMPARE_PB_SIZES",
     "CheckReport",
     "CompareRow",
     "CoveragePrediction",
     "DEFAULT_INSTRUCTIONS",
-    "DecodedImage",
     "DiffResult",
     "DynamicPartitionConfig",
     "ExperimentRunner",
@@ -265,7 +240,6 @@ __all__ = [
     "NullSink",
     "ObsBus",
     "ObservedRun",
-    "PlanMismatchError",
     "PreconstructionConfig",
     "PreconstructionEngine",
     "ProcessorConfig",
@@ -274,7 +248,6 @@ __all__ = [
     "RingBufferSink",
     "RunCapture",
     "RunResult",
-    "SIMULATOR_KINDS",
     "SPEC95_NAMES",
     "SpanTracer",
     "StaticAnalysisReport",
@@ -291,7 +264,6 @@ __all__ = [
     "assemble",
     "build_frontend_config",
     "build_manifest",
-    "build_plan",
     "build_processor_config",
     "build_workload",
     "capture_spec",
@@ -334,9 +306,7 @@ __all__ = [
     "render_report",
     "resolve_instructions",
     "rows_to_dicts",
-    "run_dynamic_frontend",
     "run_frontend",
-    "run_frontend_batch",
     "run_fuzz",
     "run_observed",
     "run_observed_many",

@@ -40,10 +40,12 @@ Oracle catalogue (name → what it proves):
     pc lies inside the predicted coverage set, and the prediction never
     strays outside static reachability (gross over-approximation).
 ``simulator``
-    Scalar-vs-batched kernel differential: the struct-of-arrays kernel
-    (:mod:`repro.vector`) must reproduce the scalar kernel exactly —
-    every raw counter, the full observability event stream, and the
-    trace-cache working set left resident at end of run.
+    The frontend kernel is a pure function of its committed stream:
+    a trace-partition-fed run and a record-by-record run over the
+    independently regenerated image and re-executed stream (sharing no
+    objects with the first) agree exactly — every raw counter, the
+    full observability event stream, and the trace-cache working set
+    left resident at end of run.
 
 A capped number of violations per oracle are *described*; the count is
 always exact.
@@ -58,7 +60,7 @@ from typing import Any, Callable
 from repro.engine import FunctionalEngine
 from repro.isa import INSTRUCTION_BYTES, Kind
 from repro.runner.spec import build_frontend_config
-from repro.sim import run_frontend
+from repro.sim import FrontendSimulation, run_frontend
 from repro.workloads import WorkloadProfile, generate
 
 #: Described violations per oracle; further ones only count.
@@ -126,8 +128,7 @@ class CheckBundle:
     def __init__(self, profile: WorkloadProfile, instructions: int, *,
                  tc_entries: int = 128, pb_entries: int = 64,
                  static_seed: bool = False,
-                 mechanism: str = "preconstruction",
-                 simulator: str = "scalar") -> None:
+                 mechanism: str = "preconstruction") -> None:
         if instructions <= 0:
             raise ValueError("instructions must be positive")
         self.profile = profile
@@ -136,7 +137,6 @@ class CheckBundle:
         self.pb_entries = pb_entries
         self.static_seed = static_seed
         self.mechanism = mechanism
-        self.simulator = simulator
 
     # -- workload / architectural legs ---------------------------------
     @cached_property
@@ -179,67 +179,39 @@ class CheckBundle:
         return traces_of_stream(self.stream, self.config.selection)
 
     @cached_property
-    def scalar_run(self):
-        """Frontend replay under the scalar kernel, observability off."""
+    def plain_run(self):
+        """Frontend replay, observability off, trace-partition fed."""
         return run_frontend(self.image, self.config, self.instructions,
                             traces=self.traces)
 
     @cached_property
-    def vector_plan(self):
-        """The batch plan the struct-of-arrays kernel runs from.
+    def event_run(self):
+        """Trace-partition-fed replay with every event recorded.
 
-        Construction cross-checks the vectorized trace delimitation
-        against the scalar partition and raises
-        :class:`~repro.vector.PlanMismatchError` on any divergence —
-        the ``simulator`` oracle reports that as a violation.
+        Returns ``(FrontendResult, events)``.
         """
-        from repro.vector import build_plan
-
-        config = self.config
-        return build_plan(
-            self.image, list(self.stream), self.traces,
-            selection=config.selection,
-            predictor=config.predictor,
-            bimodal_entries=config.bimodal_entries,
-            train_bimodal=config.train_bimodal_on_all_branches,
-            line_bytes=config.icache.line_bytes)
-
-    @cached_property
-    def vector_run(self):
-        """Frontend replay under the batched kernel, observability off."""
-        from repro.vector import run_frontend_batch
-
-        return run_frontend_batch(self.image, [self.config],
-                                  self.vector_plan)[0]
-
-    @cached_property
-    def plain_run(self):
-        """Frontend replay, observability off, trace-partition fed —
-        under the bundle's selected kernel."""
-        if self.simulator == "vectorized":
-            return self.vector_run
-        return self.scalar_run
-
-    @cached_property
-    def scalar_events(self):
-        """The scalar kernel's full observability event stream."""
         from repro.obs import ObsBus, RingBufferSink
 
         sink = RingBufferSink(capacity=None)
-        run_frontend(self.image, self.config, self.instructions,
-                     traces=self.traces, obs=ObsBus(sink))
-        return list(sink.events)
+        result = run_frontend(self.image, self.config, self.instructions,
+                              traces=self.traces, obs=ObsBus(sink))
+        return result, list(sink.events)
 
     @cached_property
-    def vector_events(self):
-        """The batched kernel's full observability event stream."""
+    def second_event_run(self):
+        """:attr:`event_run` over the regenerated image and stream.
+
+        The stream is fed record by record through the fresh
+        simulation's own selector, so no image, stream record or
+        interned trace object is shared with :attr:`event_run`.
+        """
         from repro.obs import ObsBus, RingBufferSink
-        from repro.vector import run_frontend_batch
 
         sink = RingBufferSink(capacity=None)
-        run_frontend_batch(self.image, [self.config], self.vector_plan,
-                           obs=ObsBus(sink))
-        return list(sink.events)
+        simulation = FrontendSimulation(self.second_workload.image,
+                                        self.config, obs=ObsBus(sink))
+        result = simulation.run(self.second_stream)
+        return result, list(sink.events)
 
     @cached_property
     def observed_run(self):
@@ -543,53 +515,43 @@ def check_coverage(bundle: CheckBundle) -> list[Violation]:
 
 
 def check_simulator(bundle: CheckBundle) -> list[Violation]:
-    """The batched kernel is bit-identical to the scalar one.
+    """Two independent runs of the frontend kernel agree exactly.
 
-    Three independent surfaces, coarsest to finest: the full raw
-    counter record (every :class:`FrontendStats` field, not just the
-    summary), the trace-cache working set left resident at end of run,
-    and the complete observability event stream.
+    Guards the kernel's object-identity shortcuts (the ``id()``-keyed
+    branch memo, the interned trace objects sweep points share) on
+    three surfaces, coarsest to finest: the full raw counter record
+    (every :class:`FrontendStats` field, not just the summary), the
+    trace-cache working set left resident at end of run, and the
+    complete observability event stream.
     """
     import dataclasses
 
-    from repro.vector import PlanMismatchError
-
     claims = _Claims("simulator")
-    try:
-        bundle.vector_plan
-    except PlanMismatchError as error:
-        claims.violate("vectorized trace delimitation diverges from "
-                       f"the scalar partition: {error}")
-        return claims.done()
+    first, first_events = bundle.event_run
+    second, second_events = bundle.second_event_run
+    first_stats = dataclasses.asdict(first.stats)
+    second_stats = dataclasses.asdict(second.stats)
+    for field_name in sorted(first_stats):
+        claims.equal(f"stats.{field_name} second run == first run",
+                     second_stats.get(field_name), first_stats[field_name])
 
-    scalar = bundle.scalar_run
-    vector = bundle.vector_run
-    scalar_stats = dataclasses.asdict(scalar.stats)
-    vector_stats = dataclasses.asdict(vector.stats)
-    for field_name in sorted(scalar_stats):
-        claims.equal(f"stats.{field_name} vectorized == scalar",
-                     vector_stats.get(field_name),
-                     scalar_stats[field_name])
+    first_resident = [t.trace_id for t in
+                      first.trace_cache.resident_traces()]
+    second_resident = [t.trace_id for t in
+                       second.trace_cache.resident_traces()]
+    claims.equal("trace-cache working set second run == first run",
+                 second_resident, first_resident)
+    claims.equal("trace-cache occupancy second run == first run",
+                 second.trace_cache.occupancy(),
+                 first.trace_cache.occupancy())
 
-    scalar_resident = [t.trace_id for t in
-                       scalar.trace_cache.resident_traces()]
-    vector_resident = [t.trace_id for t in
-                       vector.trace_cache.resident_traces()]
-    claims.equal("trace-cache working set vectorized == scalar",
-                 vector_resident, scalar_resident)
-    claims.equal("trace-cache occupancy vectorized == scalar",
-                 vector.trace_cache.occupancy(),
-                 scalar.trace_cache.occupancy())
-
-    scalar_events = bundle.scalar_events
-    vector_events = bundle.vector_events
-    claims.equal("event-stream length vectorized == scalar",
-                 len(vector_events), len(scalar_events))
-    for index, (a, b) in enumerate(zip(scalar_events, vector_events)):
+    claims.equal("event-stream length second run == first run",
+                 len(second_events), len(first_events))
+    for index, (a, b) in enumerate(zip(first_events, second_events)):
         if a != b:
             claims.violate("event streams diverge", index=index,
-                           scalar_event=str(a.get("event")),
-                           vectorized_event=str(b.get("event")))
+                           first_event=str(a.get("event")),
+                           second_event=str(b.get("event")))
     return claims.done()
 
 

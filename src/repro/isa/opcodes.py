@@ -134,16 +134,6 @@ DIRECT_CONTROL_KINDS = frozenset({Kind.BRANCH, Kind.JUMP, Kind.CALL})
 INDIRECT_CONTROL_KINDS = frozenset({Kind.CALL_INDIRECT, Kind.JUMP_INDIRECT})
 
 
-#: Canonical opcode ordering for array-coded program representations
-#: (:mod:`repro.vector`): the integer code of an opcode is its index
-#: here.  Definition order of the enum, so codes are stable as long as
-#: opcodes are only ever appended.
-OPCODES: tuple[Opcode, ...] = tuple(Opcode)
-
-#: Inverse of :data:`OPCODES` — opcode to integer code.
-OPCODE_INDEX: dict[Opcode, int] = {op: i for i, op in enumerate(OPCODES)}
-
-
 def info(op: Opcode) -> OpInfo:
     """Return the :class:`OpInfo` metadata for ``op``."""
     return OP_INFO[op]

@@ -75,20 +75,10 @@ def run_observed(spec, *,
         stream_cache = StreamCache(spec.instructions)
     image = stream_cache.image(spec.benchmark, spec.workload_seed)
     config = spec.frontend_config()
-    if getattr(spec, "simulator", "scalar") == "vectorized":
-        # The batched kernel supports obs for a batch of one; the
-        # event stream it emits is bit-identical to the scalar one
-        # (differential-tested), so observed exhibits are kernel-blind.
-        from repro.vector import run_frontend_batch
-
-        plan = stream_cache.plan(spec.benchmark, spec.instructions,
-                                 config, spec.workload_seed)
-        sim_result = run_frontend_batch(image, [config], plan, obs=bus)[0]
-    else:
-        traces = stream_cache.traces(spec.benchmark, spec.instructions,
-                                     config.selection, spec.workload_seed)
-        sim_result = run_frontend(image, config, spec.instructions,
-                                  traces=traces, obs=bus)
+    traces = stream_cache.traces(spec.benchmark, spec.instructions,
+                                 config.selection, spec.workload_seed)
+    sim_result = run_frontend(image, config, spec.instructions,
+                              traces=traces, obs=bus)
     result = RunResult(spec=spec, metrics=dict(sim_result.stats.summary()),
                        wall_seconds=time.perf_counter() - started,
                        manifest=build_manifest(spec))

@@ -51,12 +51,10 @@ from repro.trace import TraceCacheConfig
 #: v4: specs gain the ``mechanism`` field (the competing-frontend zoo)
 #: and ``kind="check"`` verdicts validate the spec's mechanism; the
 #: field participates in the digest, so every spec re-keys.
-#: v5: specs gain the ``simulator`` execution-strategy field (scalar
-#: vs. the batched struct-of-arrays kernel).  The field is *excluded*
-#: from the digest — the two kernels are proven result-identical by
-#: the differential battery, so their results are interchangeable —
-#: but the version bump re-keys every entry so caches written before
-#: the battery existed are never trusted to honour that contract.
+#: v5: specs gained a ``simulator`` execution-strategy field (scalar
+#: vs. a batched struct-of-arrays kernel), excluded from the digest.
+#: The batched kernel is gone and so is the field; :meth:`from_dict`
+#: drops it from stored v5 entries, whose digests never covered it.
 SPEC_SCHEMA_VERSION = 5
 
 #: Built-in per-run instruction budget (the harness scale documented in
@@ -66,13 +64,6 @@ DEFAULT_INSTRUCTIONS = 60_000
 
 #: Simulation kinds a spec can describe.
 KINDS = ("frontend", "processor", "dynamic", "check")
-
-#: Simulation kernels a spec can select (``simulator`` field):
-#: ``"scalar"`` is the original one-point-at-a-time frontend kernel;
-#: ``"vectorized"`` is the batched struct-of-arrays kernel
-#: (:mod:`repro.vector`), result-identical by construction and by the
-#: differential test battery.
-SIMULATOR_KINDS = ("scalar", "vectorized")
 
 
 def resolve_instructions(explicit: Optional[int] = None) -> int:
@@ -152,11 +143,6 @@ class ExperimentSpec:
     #: registry name); ``pb_entries`` is its storage budget whatever
     #: the mechanism.
     mechanism: str = "preconstruction"
-    #: Execution strategy, not result identity: which kernel computes
-    #: the point (:data:`SIMULATOR_KINDS`).  Excluded from the digest —
-    #: scalar and vectorized results are interchangeable (differential
-    #: battery) — so either kernel's run hits the other's cache entry.
-    simulator: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -178,13 +164,6 @@ class ExperimentSpec:
                 and self.kind in ("dynamic", "processor"):
             raise ValueError(f"kind={self.kind!r} supports only the "
                              "preconstruction mechanism")
-        if self.simulator not in SIMULATOR_KINDS:
-            raise ValueError(f"unknown simulator {self.simulator!r}; "
-                             f"choose from {SIMULATOR_KINDS}")
-        if self.simulator != "scalar" \
-                and self.kind in ("dynamic", "processor"):
-            raise ValueError(f"kind={self.kind!r} supports only the "
-                             "scalar simulator")
         object.__setattr__(self, "instructions",
                            resolve_instructions(self.instructions))
 
@@ -214,19 +193,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
-        return cls(**dict(payload))
+        fields = dict(payload)
+        # v1.7 stored the kernel choice; it never entered the digest.
+        fields.pop("simulator", None)
+        return cls(**fields)
 
     def digest(self, schema_version: int = SPEC_SCHEMA_VERSION) -> str:
         """Content address of this spec under ``schema_version``.
 
         Any field change — and any schema-version bump — yields a new
-        digest, which is what invalidates stale cache entries.  The
-        ``simulator`` field is excluded: it selects *how* the point is
-        computed, never *what* it computes, so both kernels share one
-        content address (and one cache entry).
+        digest, which is what invalidates stale cache entries.
         """
         payload = {"schema": schema_version, **self.to_dict()}
-        payload.pop("simulator", None)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -244,8 +222,6 @@ class ExperimentSpec:
             parts.append("preprocess")
         if self.kind != "frontend":
             parts.append(self.kind)
-        if self.simulator != "scalar":
-            parts.append(self.simulator)
         return " ".join(parts)
 
 

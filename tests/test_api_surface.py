@@ -49,28 +49,20 @@ class TestSurface:
                      "read_trajectory", "trajectory_reference"):
             assert name in api.__all__, name
 
-    def test_vector_names_exported(self):
-        for name in ("SIMULATOR_KINDS", "DecodedImage", "BatchPlan",
-                     "PlanMismatchError", "build_plan",
-                     "run_frontend_batch"):
-            assert name in api.__all__, name
-
 
 class TestSimulatorDocs:
-    """DESIGN.md §17 and the README kernel section stay in lockstep
-    with the shipped `SIMULATOR_KINDS`."""
+    """README and DESIGN.md describe the one frontend kernel: the
+    `simulator` oracle's catalogue entries and the removal note."""
 
     DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 
-    def test_readme_documents_kernel_choice(self):
+    def test_readme_documents_the_simulator_oracle(self):
         text = README.read_text()
-        assert "### Choosing a simulator kernel" in text
-        for kind in api.SIMULATOR_KINDS:
-            assert f"`{kind}`" in text, kind
-        assert "tests/test_vector.py" in text
+        assert "the `simulator` oracle" in text
+        assert "Choosing a simulator kernel" not in text
 
-    def test_design_documents_the_kernel(self):
+    def test_design_documents_the_simulator_oracle(self):
         text = self.DESIGN.read_text()
-        assert "## 17. The batched struct-of-arrays kernel" in text
-        assert '("scalar", "vectorized")' in text
-        assert "excluded from the spec digest" in text
+        assert "| `simulator` | the frontend kernel is a pure function" in text
+        assert "42.6 s vs the scalar kernel's 47.3 s" in text
+        assert "## 17. The batched struct-of-arrays kernel" not in text

@@ -1,6 +1,7 @@
 """Tests for the cross-model oracle catalogue and check harness."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -21,9 +22,11 @@ from repro.check.oracles import (
     check_coverage,
     check_determinism,
     check_intervals,
+    check_simulator,
     oracle_names,
 )
 from repro.runner import ExperimentSpec
+from repro.sim import FrontendSimulation
 from repro.workloads import generate, profile_for
 
 BUDGET = 3_000
@@ -254,6 +257,40 @@ class TestCoverageOracle:
     def _live(bundle):
         from repro.static.predictor import predict_coverage
         return predict_coverage(bundle.image).covered_pcs
+
+
+class TestSimulatorOracle:
+    """The frontend kernel is a pure function of its committed stream:
+    two runs over independently built images and streams agree, and a
+    run that depends on anything else fails the oracle."""
+
+    @pytest.mark.parametrize("mechanism", ["mana", "nextline", "pmap",
+                                           "preconstruction"])
+    def test_independent_runs_agree(self, mechanism):
+        bundle = _bundle(tc_entries=64, pb_entries=64, mechanism=mechanism)
+        assert check_simulator(bundle) == []
+        first, first_events = bundle.event_run
+        second, _ = bundle.second_event_run
+        assert first_events
+        assert second.stats.traces == first.stats.traces > 0
+        assert bundle.second_workload.image is not bundle.image
+
+    def test_counter_perturbed_in_the_second_run_is_caught(self,
+                                                           monkeypatch):
+        """Mutation test: a process-level counter skews one raw counter
+        in the second simulation built, and only there."""
+        built = itertools.count()
+        original = FrontendSimulation.__init__
+
+        def perturbed(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if next(built) == 1:
+                self.stats.slow_line_accesses += 1
+
+        monkeypatch.setattr(FrontendSimulation, "__init__", perturbed)
+        violations = check_simulator(_bundle())
+        assert [v.oracle for v in violations] == ["simulator"]
+        assert "stats.slow_line_accesses" in violations[0].message
 
 
 class TestOracleRegistry:

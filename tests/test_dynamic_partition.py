@@ -7,7 +7,6 @@ from repro.engine import FunctionalEngine
 from repro.sim import (
     DynamicPartitionConfig,
     DynamicPartitionFrontend,
-    run_dynamic_frontend,
     run_frontend,
 )
 from repro.workloads import build_workload
@@ -88,15 +87,3 @@ class TestDynamicPartition:
         stats = result.stats
         assert stats.instructions == len(stream)
         assert stats.trace_hits + stats.trace_misses == stats.traces
-
-    def test_run_dynamic_frontend_shim(self, gcc):
-        """The old entry point still works but warns."""
-        image, stream = gcc
-        partition = DynamicPartitionConfig(epoch_traces=300)
-        with pytest.warns(DeprecationWarning, match="run_frontend"):
-            result, events = run_dynamic_frontend(
-                image, build_frontend_config(384, 128), stream, partition)
-        fresh = run_frontend(image, build_frontend_config(384, 128),
-                             stream=stream, partition=partition)
-        assert events == fresh.partition_events
-        assert result.stats.summary() == fresh.stats.summary()

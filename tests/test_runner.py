@@ -149,6 +149,25 @@ class TestResultCache:
         cache.path_for(spec).write_text(json.dumps(payload))
         assert cache.get(spec) is None
 
+    def test_v1_7_entry_with_simulator_field_is_a_hit(self, tmp_path):
+        # v1.7 stored the kernel that computed a point inside the spec
+        # (outside its digest); those entries stay valid under v5.
+        cache = ResultCache(tmp_path)
+        spec = spec_for()
+        assert SPEC_SCHEMA_VERSION == 5
+        path = cache.path_for(spec)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({
+            "schema": 5, "digest": spec.digest(),
+            "spec": {**spec.to_dict(), "simulator": "vectorized"},
+            "metrics": {"instructions": BUDGET, "traces": 7},
+            "wall_seconds": 0.5}))
+        loaded = cache.get(spec)
+        assert loaded is not None and loaded.cached
+        assert loaded.spec == spec
+        assert loaded.metrics == {"instructions": BUDGET, "traces": 7}
+        assert cache.quarantined() == []
+
     def test_default_dir_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
         assert ResultCache().root == tmp_path / "custom"

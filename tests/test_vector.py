@@ -1,62 +1,33 @@
-"""Differential test battery for the batched struct-of-arrays kernel.
+"""Execution-path differential checks for the one frontend kernel.
 
-``simulator="vectorized"`` is an *execution strategy*, never a result
-change: the spec digest excludes the field, so both kernels share one
-cache entry and their outputs must be interchangeable.  This battery
-is the proof obligation behind that contract — it pins equivalence at
-every observable surface:
+The frontend kernel's output is a pure function of the spec: it must
+not depend on how a point is executed (serial or across worker
+processes, cold or served from the result cache, observed or not), nor
+on a kernel label that a v1.7 spec or cache entry still carries.  Up to
+v1.7 this module compared a batched struct-of-arrays kernel against
+the scalar one; that kernel is gone, and the classes below keep their
+names while pinning the same surfaces for the single kernel:
 
-* **stats counters** — every :class:`FrontendStats` field, per
-  mechanism, per sizing, batched-many-at-once and one-at-a-time;
-* **cache end states** — resident trace-cache contents and occupancy;
-* **event streams & interval metrics** — observed runs byte-identical,
-  including against the pinned golden metrics file;
-* **CLI stdout** — exhibit tables identical under ``--simulator``,
-  serial and parallel;
-* **manifests & caching** — kernel-blind provenance, cross-kernel
-  cache hits in both directions;
-
-plus hypothesis property tests for the struct-of-arrays decode itself
-(:class:`DecodedImage` round-trip, including jump-table and
-function-pointer/reloc edges) and for the vectorized trace
-delimitation against the scalar :func:`traces_of_stream` partition.
+* **spec surface** — a v1.7 ``"simulator"`` key is dropped on load and
+  never reaches the digest;
+* **runner** — check verdicts repeat, parallel sweeps equal serial
+  ones, and v1.7 cache entries of either kernel are hits;
+* **observed runs** — event streams repeat, interval metrics match the
+  pinned golden file, manifests ignore the legacy label;
+* **CLI stdout** — exhibit tables are identical serial and parallel.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.engine import FunctionalEngine
 from repro.obs import build_manifest, run_observed
-from repro.runner import (
-    SIMULATOR_KINDS,
-    ExperimentRunner,
-    ExperimentSpec,
-    ResultCache,
-    run_point,
-)
+from repro.runner import ExperimentRunner, ExperimentSpec, ResultCache, run_point
 from repro.runner.pool import StreamCache
-from repro.sim import run_frontend
-from repro.trace import SelectionConfig, traces_of_stream
-from repro.vector import (
-    DecodedImage,
-    PlanMismatchError,
-    build_plan,
-    final_trace_is_partial,
-    occurrence_branch_counts,
-    occurrence_lengths,
-    plan_key,
-    run_frontend_batch,
-    stream_arrays,
-    trace_boundaries,
-)
-from repro.workloads import WorkloadProfile, generate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BUDGET = 6_000
@@ -65,315 +36,77 @@ BUDGET = 6_000
 SPEC = ExperimentSpec(benchmark="compress", tc_entries=256, pb_entries=256,
                       instructions=BUDGET)
 
-
-def _legs(spec):
-    """Scalar and batched runs of ``spec`` from one shared stream."""
-    stream_cache = StreamCache(spec.instructions)
-    image = stream_cache.image(spec.benchmark, spec.workload_seed)
-    config = spec.frontend_config()
-    traces = stream_cache.traces(spec.benchmark, spec.instructions,
-                                 config.selection, spec.workload_seed)
-    scalar = run_frontend(image, config, spec.instructions, traces=traces)
-    plan = stream_cache.plan(spec.benchmark, spec.instructions, config,
-                             spec.workload_seed)
-    vector = run_frontend_batch(image, [config], plan)[0]
-    return scalar, vector
+#: The kernel labels a v1.7 spec could carry.
+LEGACY_KERNELS = ("scalar", "vectorized")
 
 
-def _assert_equivalent(scalar, vector):
-    """Every observable of the two legs must match exactly."""
-    assert dataclasses.asdict(scalar.stats) == dataclasses.asdict(
-        vector.stats)
-    assert ([t.trace_id for t in scalar.trace_cache.resident_traces()]
-            == [t.trace_id for t in vector.trace_cache.resident_traces()])
-    assert scalar.trace_cache.occupancy() == vector.trace_cache.occupancy()
+def _legacy(spec: ExperimentSpec, kernel: str) -> ExperimentSpec:
+    """``spec`` as loaded from a v1.7 payload that recorded ``kernel``."""
+    return ExperimentSpec.from_dict({**spec.to_dict(), "simulator": kernel})
 
 
 # ----------------------------------------------------------------------
-# Spec surface: the simulator field's contract
+# Spec surface: the legacy kernel label is not part of a spec
 # ----------------------------------------------------------------------
 class TestSimulatorSpecSurface:
-    def test_simulator_kinds(self):
-        assert SIMULATOR_KINDS == ("scalar", "vectorized")
-
-    def test_default_is_scalar(self):
-        assert ExperimentSpec(benchmark="compress").simulator == "scalar"
-
-    def test_unknown_simulator_rejected(self):
-        with pytest.raises(ValueError, match="unknown simulator"):
-            ExperimentSpec(benchmark="compress", simulator="turbo")
-
-    @pytest.mark.parametrize("kind", ["processor", "dynamic"])
-    def test_vectorized_rejected_for_unbatched_kinds(self, kind):
-        with pytest.raises(ValueError, match="scalar simulator"):
-            ExperimentSpec(benchmark="compress", kind=kind,
-                           simulator="vectorized")
-
-    @pytest.mark.parametrize("kind", ["frontend", "check"])
-    def test_vectorized_accepted_for_batched_kinds(self, kind):
-        spec = ExperimentSpec(benchmark="compress", kind=kind,
-                              simulator="vectorized")
-        assert spec.simulator == "vectorized"
-
-    def test_digest_excludes_simulator(self):
-        # The load-bearing interchangeability contract: both kernels
-        # share one content address (and therefore one cache entry).
-        assert SPEC.digest() == SPEC.replace(
-            simulator="vectorized").digest()
-
     def test_digest_still_varies_with_real_identity(self):
         assert SPEC.digest() != SPEC.replace(tc_entries=128).digest()
-
-    def test_label_marks_non_default_kernel_only(self):
-        assert "vectorized" not in SPEC.label
-        assert "vectorized" in SPEC.replace(simulator="vectorized").label
+        for kernel in LEGACY_KERNELS:
+            assert _legacy(SPEC, kernel).digest() == SPEC.digest()
 
     def test_spec_roundtrips_through_dict(self):
-        spec = SPEC.replace(simulator="vectorized")
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
-
-
-# ----------------------------------------------------------------------
-# DecodedImage: struct-of-arrays decode round-trip (property-tested)
-# ----------------------------------------------------------------------
-
-#: Derived classification flags the decode must preserve bit-for-bit.
-FLAGS = ("is_control", "is_conditional_branch", "is_call", "is_return",
-         "is_indirect", "is_backward")
-
-profile_strategy = st.builds(
-    WorkloadProfile,
-    name=st.just("vecprop"),
-    seed=st.integers(0, 2**16),
-    procedures=st.integers(2, 8),
-    constructs_min=st.just(2),
-    constructs_max=st.integers(3, 5),
-    loop_weight=st.floats(0.1, 0.4),
-    diamond_weight=st.floats(0.1, 0.4),
-    switch_weight=st.sampled_from([0.0, 0.1, 0.3]),
-    call_weight=st.floats(0.05, 0.3),
-    biased_fraction=st.floats(0.0, 1.0),
-    call_guard_prob=st.floats(0.0, 0.8),
-    fptr_call_prob=st.sampled_from([0.0, 0.5]),
-    fanout=st.integers(1, 3),
-)
-
-#: Dispatch-heavy edge profiles: dense jump tables (switch relocation
-#: targets) and function-pointer calls (reloc-loaded targets) stress
-#: the successor-resolution arrays hardest.
-EDGE_PROFILES = [
-    WorkloadProfile(name="jumptables", seed=11, switch_weight=0.6,
-                    switch_arms=8, procedures=6),
-    WorkloadProfile(name="fptrs", seed=12, fptr_call_prob=1.0,
-                    call_weight=0.6, procedures=10),
-]
-
-
-class TestDecodedImage:
-    @settings(max_examples=15, deadline=None)
-    @given(profile_strategy)
-    def test_decode_round_trips_every_instruction(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        assert len(decoded) == len(image.instructions)
-        for i, inst in enumerate(image.instructions):
-            assert decoded.instruction(i) == inst
-            for flag in FLAGS:
-                assert bool(getattr(decoded, flag)[i]) == getattr(inst, flag)
-
-    @settings(max_examples=15, deadline=None)
-    @given(profile_strategy)
-    def test_pc_index_bijection(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        for i in range(len(decoded)):
-            assert decoded.index_of(decoded.pc_of(i)) == i
-
-    @pytest.mark.parametrize("profile", EDGE_PROFILES,
-                             ids=lambda p: p.name)
-    def test_dispatch_heavy_edges_round_trip(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        # The edge shapes must actually be present, or the test is vacuous.
-        assert decoded.is_indirect.any()
-        for i, inst in enumerate(image.instructions):
-            assert decoded.instruction(i) == inst
-
-
-# ----------------------------------------------------------------------
-# Vectorized trace delimitation vs the scalar partition
-# ----------------------------------------------------------------------
-class TestVectorizedDelimitation:
-    @settings(max_examples=10, deadline=None)
-    @given(profile_strategy, st.integers(0, 3), st.booleans(), st.booleans())
-    def test_matches_scalar_partition(self, profile, align_choice,
-                                      end_at_returns, end_at_indirect):
-        selection = SelectionConfig(align_multiple=(0, 2, 4, 8)[align_choice],
-                                    end_at_returns=end_at_returns,
-                                    end_at_indirect=end_at_indirect)
-        image = generate(profile).image
-        stream = FunctionalEngine(image).run(3_000)
-        traces = traces_of_stream(stream, selection)
-        decoded = DecodedImage.from_image(image)
-        arrays = stream_arrays(stream, decoded)
-        ends = trace_boundaries(arrays, decoded, selection)
-        assert occurrence_lengths(ends).tolist() == [
-            len(trace) for trace in traces]
-        assert occurrence_branch_counts(arrays, decoded, ends).tolist() == [
-            len(trace.trace_id.outcomes) for trace in traces]
-        if traces:
-            assert final_trace_is_partial(
-                arrays, decoded, selection, ends) == traces[-1].partial
-
-    def test_boundaries_tile_the_stream(self):
-        image = generate(WorkloadProfile(name="tile", seed=5)).image
-        stream = FunctionalEngine(image).run(4_000)
-        decoded = DecodedImage.from_image(image)
-        arrays = stream_arrays(stream, decoded)
-        ends = trace_boundaries(arrays, decoded, SelectionConfig())
-        assert int(ends[-1]) == len(stream)
-        assert (occurrence_lengths(ends) > 0).all()
-
-
-# ----------------------------------------------------------------------
-# Batch plan: keying, cross-checks, compatibility gating
-# ----------------------------------------------------------------------
-class TestBatchPlan:
-    def _materials(self, spec=SPEC):
-        stream_cache = StreamCache(spec.instructions)
-        image = stream_cache.image(spec.benchmark, spec.workload_seed)
-        config = spec.frontend_config()
-        stream = FunctionalEngine(image).run(spec.instructions)
-        traces = stream_cache.traces(spec.benchmark, spec.instructions,
-                                     config.selection, spec.workload_seed)
-        return image, stream, traces, config
-
-    def _build(self, image, stream, traces, config):
-        return build_plan(
-            image, stream, traces, selection=config.selection,
-            predictor=config.predictor,
-            bimodal_entries=config.bimodal_entries,
-            train_bimodal=config.train_bimodal_on_all_branches,
-            line_bytes=config.icache.line_bytes)
-
-    def test_plan_key_is_hashable_and_stable(self):
-        config = SPEC.frontend_config()
-        again = SPEC.frontend_config()
-        assert plan_key(config) == plan_key(again)
-        assert {plan_key(config): "plan"}[plan_key(again)] == "plan"
-        # Sizing knobs are per-point: they must not split the batch.
-        assert plan_key(SPEC.replace(tc_entries=32).frontend_config()) \
-            == plan_key(config)
-
-    def test_build_cross_checks_against_scalar_partition(self):
-        image, stream, traces, config = self._materials()
-        with pytest.raises(PlanMismatchError, match="traces"):
-            self._build(image, stream, traces[:-1], config)
-
-    def test_incompatible_config_rejected_by_kernel(self):
-        image, stream, traces, config = self._materials()
-        plan = self._build(image, stream, traces, config)
-        other = dataclasses.replace(
-            SPEC.frontend_config(),
-            bimodal_entries=config.bimodal_entries * 2)
-        with pytest.raises(ValueError, match="bimodal_entries"):
-            run_frontend_batch(image, [other], plan)
-
-    def test_obs_requires_a_batch_of_one(self):
-        from repro.obs import IntervalMetrics, ObsBus, RingBufferSink
-
-        image, stream, traces, config = self._materials()
-        plan = self._build(image, stream, traces, config)
-        bus = ObsBus(RingBufferSink(), IntervalMetrics())
-        with pytest.raises(ValueError, match="batch of exactly one"):
-            run_frontend_batch(image, [config, config], plan, obs=bus)
-
-
-# ----------------------------------------------------------------------
-# Kernel equivalence: stats and cache end states, every mechanism
-# ----------------------------------------------------------------------
-class TestKernelEquivalence:
-    @pytest.mark.parametrize("mechanism", ["preconstruction", "mana",
-                                           "nextline", "pmap"])
-    def test_every_mechanism_is_bit_identical(self, mechanism):
-        spec = ExperimentSpec(benchmark="compress", tc_entries=64,
-                              pb_entries=64, mechanism=mechanism,
-                              instructions=BUDGET)
-        _assert_equivalent(*_legs(spec))
-
-    @pytest.mark.parametrize("spec", [
-        ExperimentSpec(benchmark="compress", tc_entries=32, pb_entries=0,
-                       instructions=BUDGET),
-        ExperimentSpec(benchmark="gcc", tc_entries=256, pb_entries=128,
-                       instructions=BUDGET),
-        ExperimentSpec(benchmark="go", tc_entries=128, pb_entries=64,
-                       static_seed=True, instructions=BUDGET),
-    ], ids=lambda spec: spec.label)
-    def test_sizing_sweep_points_are_bit_identical(self, spec):
-        _assert_equivalent(*_legs(spec))
-
-    def test_batch_of_many_equals_scalar_one_by_one(self):
-        # The actual batching win: many points, one plan, one pass —
-        # each point still bit-identical to its lone scalar run.
-        stream_cache = StreamCache(BUDGET)
-        image = stream_cache.image("compress", None)
-        specs = [ExperimentSpec(benchmark="compress", tc_entries=tc,
-                                pb_entries=pb, instructions=BUDGET)
-                 for tc in (32, 128, 256) for pb in (0, 64)]
-        configs = [spec.frontend_config() for spec in specs]
-        plan = stream_cache.plan("compress", BUDGET, configs[0], None)
-        batched = run_frontend_batch(image, configs, plan)
-        traces = stream_cache.traces("compress", BUDGET,
-                                     configs[0].selection, None)
-        for config, vector in zip(configs, batched):
-            scalar = run_frontend(image, config, BUDGET, traces=traces)
-            _assert_equivalent(scalar, vector)
+        payload = SPEC.to_dict()
+        assert "simulator" not in payload
+        assert ExperimentSpec.from_dict(payload) == SPEC
+        for kernel in LEGACY_KERNELS:
+            assert _legacy(SPEC, kernel) == SPEC
 
 
 # ----------------------------------------------------------------------
 # Runner-level differential: run_point / ExperimentRunner / caching
 # ----------------------------------------------------------------------
 class TestRunnerDifferential:
-    def test_run_point_metrics_identical(self):
-        scalar = run_point(SPEC)
-        vector = run_point(SPEC.replace(simulator="vectorized"))
-        assert scalar.metrics == vector.metrics
-
     def test_check_verdicts_identical(self):
         spec = ExperimentSpec(benchmark="fuzz-3", kind="check",
                               tc_entries=64, pb_entries=64,
                               instructions=3_000)
-        scalar = run_point(spec)
-        vector = run_point(spec.replace(simulator="vectorized"))
-        assert scalar.metrics == vector.metrics
-        assert scalar.metrics["violations"] == 0
+        first = run_point(spec)
+        second = run_point(_legacy(spec, "vectorized"))
+        assert first.metrics == second.metrics
+        assert first.metrics["violations"] == 0
 
     def test_parallel_vectorized_sweep_matches_serial_scalar(self):
         specs = [ExperimentSpec(benchmark="compress", tc_entries=tc,
                                 instructions=3_000)
                  for tc in (32, 64, 128, 256)]
-        scalar = ExperimentRunner(jobs=1).run(specs)
-        vector = ExperimentRunner(jobs=2).run(
-            [spec.replace(simulator="vectorized") for spec in specs])
-        for a, b in zip(scalar, vector):
+        serial = ExperimentRunner(jobs=1).run(specs)
+        parallel = ExperimentRunner(jobs=2).run(
+            [_legacy(spec, "vectorized") for spec in specs])
+        assert len(serial) == len(parallel) == len(specs)
+        for a, b in zip(serial, parallel):
             assert a.metrics == b.metrics
 
     @pytest.mark.parametrize("first,second", [("scalar", "vectorized"),
                                               ("vectorized", "scalar")])
     def test_cross_kernel_cache_hits_both_ways(self, tmp_path, first,
                                                second):
-        # One digest, one entry: a point computed under either kernel
-        # serves the other from cache, re-labelled to the requesting
-        # spec so the caller sees its own simulator choice.
+        # An entry stored by v1.7 under either kernel label serves a
+        # request whose spec was loaded with the other label: one
+        # digest, one entry, nothing quarantined.
         cache = ResultCache(tmp_path)
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               instructions=3_000)
-        cold = run_point(spec.replace(simulator=first), cache=cache)
-        warm = run_point(spec.replace(simulator=second), cache=cache)
+        cold = run_point(spec, cache=cache)
         assert not cold.cached
+        path = cache.path_for(spec)
+        entry = json.loads(path.read_text())
+        entry["spec"] = {**entry["spec"], "simulator": first}
+        path.write_text(json.dumps(entry))
+        warm = run_point(_legacy(spec, second), cache=cache)
         assert warm.cached
-        assert warm.spec.simulator == second
+        assert warm.spec == spec
         assert warm.metrics == cold.metrics
+        assert cache.quarantined() == []
 
 
 # ----------------------------------------------------------------------
@@ -381,28 +114,30 @@ class TestRunnerDifferential:
 # ----------------------------------------------------------------------
 class TestObservedDifferential:
     def test_event_streams_are_identical(self):
-        scalar = run_observed(SPEC)
-        vector = run_observed(SPEC.replace(simulator="vectorized"))
-        assert scalar.events == vector.events
-        assert scalar.stats.summary() == vector.stats.summary()
+        first = run_observed(SPEC)
+        second = run_observed(_legacy(SPEC, "vectorized"),
+                              stream_cache=StreamCache(BUDGET))
+        assert first.events
+        assert first.events == second.events
+        assert first.stats.summary() == second.stats.summary()
 
     def test_vectorized_metrics_match_golden_file(self, tmp_path):
-        # The same pinned golden the scalar kernel is held to
-        # (tests/test_obs.py) — byte-for-byte.
+        # The same pinned golden tests/test_obs.py holds the plain spec
+        # to, byte-for-byte, for a spec loaded with the legacy label.
         golden = GOLDEN_DIR / "metrics_compress_tc256_pb256_i6000.jsonl"
-        observed = run_observed(SPEC.replace(simulator="vectorized"))
+        observed = run_observed(_legacy(SPEC, "vectorized"))
         produced = observed.write_metrics(tmp_path / "metrics.jsonl")
         assert produced.read_bytes() == golden.read_bytes()
 
     def test_manifests_are_kernel_blind(self):
-        scalar = build_manifest(SPEC, include_host=False)
-        vector = build_manifest(SPEC.replace(simulator="vectorized"),
-                                include_host=False)
-        assert scalar == vector
+        plain = build_manifest(SPEC, include_host=False)
+        for kernel in LEGACY_KERNELS:
+            assert build_manifest(_legacy(SPEC, kernel),
+                                  include_host=False) == plain
 
 
 # ----------------------------------------------------------------------
-# CLI: exhibit stdout under --simulator
+# CLI: exhibit stdout serial vs parallel
 # ----------------------------------------------------------------------
 class TestCLIDifferential:
     def _stdout(self, capsys, argv):
@@ -412,30 +147,26 @@ class TestCLIDifferential:
     def test_figure5_stdout_identical(self, capsys):
         base = ["--no-cache", "--instructions", "3000",
                 "figure5", "--benchmarks", "compress"]
-        scalar = self._stdout(capsys, base)
-        vector = self._stdout(capsys, base + ["--simulator", "vectorized"])
-        assert scalar == vector
-        assert "compress" in scalar
+        serial = self._stdout(capsys, base)
+        parallel = self._stdout(capsys, base + ["--jobs", "2"])
+        assert serial == parallel
+        assert "compress" in serial
 
     def test_all_stdout_identical_including_parallel(self, capsys):
-        # "all" mixes frontend, processor and dynamic points —
-        # --simulator must apply to the batchable kinds and leave the
-        # rest scalar, with stdout unchanged either way.
+        # "all" mixes frontend, processor and dynamic points; stdout
+        # must not depend on the worker count.
         base = ["--no-cache", "--instructions", "2000",
                 "all", "--benchmarks", "compress"]
-        scalar = self._stdout(capsys, base)
-        vector = self._stdout(capsys, base + ["--simulator", "vectorized"])
-        parallel = self._stdout(
-            capsys, ["--no-cache", "--instructions", "2000",
-                     "all", "--benchmarks", "compress", "--jobs", "2",
-                     "--simulator", "vectorized"])
-        assert scalar == vector
-        assert vector == parallel
+        serial = self._stdout(capsys, base)
+        parallel = self._stdout(capsys, base + ["--jobs", "2"])
+        assert serial == parallel
+        assert "compress" in serial
 
     def test_compare_stdout_identical(self, capsys):
         base = ["--no-cache", "--instructions", "3000",
                 "compare", "--benchmarks", "compress",
                 "--mechanisms", "preconstruction,mana", "--pb", "64"]
-        scalar = self._stdout(capsys, base)
-        vector = self._stdout(capsys, base + ["--simulator", "vectorized"])
-        assert scalar == vector
+        serial = self._stdout(capsys, base)
+        parallel = self._stdout(capsys, base + ["--jobs", "2"])
+        assert serial == parallel
+        assert "compress" in serial
