@@ -47,7 +47,14 @@ class Instruction:
     *dynamic* instruction, so deriving them from :data:`OP_INFO` on
     every access would put two dict lookups on the hottest path in the
     repository.  They are plain precomputed attributes, excluded from
-    equality/hash, and recomputed by ``dataclasses.replace``.
+    equality/hash/repr, and recomputed by ``dataclasses.replace``.
+
+    Register use/def is decoded the same way: ``sources`` holds the
+    architectural registers read and ``dest`` the register written (or
+    ``None``), both with the hardwired zero removed.  The static
+    analyses read them per instruction on every fixpoint sweep, the
+    processor backend and the dependence builder per dynamic
+    instruction.
     """
 
     op: Opcode
@@ -76,6 +83,10 @@ class Instruction:
     is_direct_control: bool = field(init=False, compare=False, repr=False)
     #: True for a conditional branch whose taken target precedes it.
     is_backward: bool = field(init=False, compare=False, repr=False)
+    #: Registers read, in operand order (``rs1`` then ``rs2``), no r0.
+    sources: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: Register written, or ``None`` (no write, or a write to r0).
+    dest: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         meta = OP_INFO[self.op]
@@ -93,6 +104,16 @@ class Instruction:
         setter(self, "is_direct_control", kind in DIRECT_CONTROL_KINDS)
         setter(self, "is_backward",
                kind is Kind.BRANCH and self.imm < 0)
+        rs1, rs2 = self.rs1, self.rs2
+        sources: tuple[int, ...]
+        if meta.reads_rs1 and rs1 != ZERO:
+            sources = ((rs1, rs2) if meta.reads_rs2 and rs2 != ZERO
+                       else (rs1,))
+        else:
+            sources = (rs2,) if meta.reads_rs2 and rs2 != ZERO else ()
+        setter(self, "sources", sources)
+        setter(self, "dest",
+               self.rd if meta.writes_rd and self.rd != ZERO else None)
 
     # ------------------------------------------------------------------
     # Target computation
@@ -120,20 +141,11 @@ class Instruction:
     # ------------------------------------------------------------------
     def source_registers(self) -> tuple[int, ...]:
         """Architectural registers read, with the hardwired zero removed."""
-        meta = OP_INFO[self.op]
-        sources = []
-        if meta.reads_rs1 and self.rs1 != ZERO:
-            sources.append(self.rs1)
-        if meta.reads_rs2 and self.rs2 != ZERO:
-            sources.append(self.rs2)
-        return tuple(sources)
+        return self.sources
 
     def destination_register(self) -> Optional[int]:
         """Architectural register written, or ``None`` (writes to r0 discard)."""
-        meta = OP_INFO[self.op]
-        if meta.writes_rd and self.rd != ZERO:
-            return self.rd
-        return None
+        return self.dest
 
     # ------------------------------------------------------------------
     # Rewriting (used by preprocessing passes)

@@ -69,7 +69,7 @@ def build_dependence_graph(instructions: tuple[Instruction, ...]
 
     for i, inst in enumerate(graph.instructions):
         # RAW register dependences.
-        for reg in inst.source_registers():
+        for reg in inst.sources:
             if reg in last_writer:
                 graph.add_edge(last_writer[reg], i)
         # Memory ordering: conservative (no fill-time disambiguation).
@@ -88,7 +88,7 @@ def build_dependence_graph(instructions: tuple[Instruction, ...]
             if last_control is not None:
                 graph.add_edge(last_control, i)
             last_control = i
-        dest = inst.destination_register()
+        dest = inst.dest
         if dest is not None:
             last_writer[dest] = i
 

@@ -130,12 +130,12 @@ class BackendModel:
         produced_in_trace: dict[int, int] = {}
         external_ready = [dispatch] * n
         for i, inst in enumerate(instructions):
-            for reg in inst.source_registers():
+            for reg in inst.sources:
                 if reg not in produced_in_trace:
                     ready = self._operand_ready(reg, pe, dispatch)
                     if ready > external_ready[i]:
                         external_ready[i] = ready
-            dest = inst.destination_register()
+            dest = inst.dest
             if dest is not None:
                 produced_in_trace.setdefault(dest, i)
 
@@ -193,7 +193,7 @@ class BackendModel:
         for i, inst in enumerate(instructions):
             if complete[i] > done:
                 done = complete[i]
-            dest = inst.destination_register()
+            dest = inst.dest
             if dest is not None:
                 self._regs[dest] = _RegValue(complete[i], pe)
             if ((inst.is_control or inst.is_conditional_branch)

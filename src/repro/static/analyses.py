@@ -23,10 +23,11 @@ and a summary layer lifts them across procedure boundaries:
   SP-relative frame tracking for stack-discipline rules and for
   locating callee-save slots.
 
-:class:`ProcedureSummaries` computes, bottom-up over the call graph
-with a fixpoint for recursion, each procedure's may-clobbered and
-may-used register sets, its proven callee-saved registers, and whether
-its frame is balanced (SP restored on every return).  The summaries
+:class:`ProcedureSummaries` computes, on a callee-first worklist over
+the call graph (a procedure is re-solved only when a callee's summary
+changed), each procedure's may-clobbered and may-used register sets,
+its proven callee-saved registers, and whether its frame is balanced
+(SP restored on every return).  The summaries
 feed back into the intraprocedural transfer functions at call sites —
 the interprocedural strategy described in DESIGN.md §13.
 
@@ -38,9 +39,10 @@ many rules consume the facts.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.isa import INSTRUCTION_BYTES, Instruction, Kind, Opcode
 from repro.isa.registers import NUM_REGISTERS, RA, SP, ZERO
@@ -212,7 +214,7 @@ class LivenessAnalysis(DataflowAnalysis[int]):
 
     def transfer_instruction(self, pc: int, inst: Instruction,
                              fact: int) -> int:
-        dest = inst.destination_register()
+        dest = inst.dest
         if dest is None and inst.is_call:
             dest = RA       # the engine's JALR links to RA when rd=0
         if dest is not None:
@@ -224,7 +226,7 @@ class LivenessAnalysis(DataflowAnalysis[int]):
             fact |= effects.used & ~(1 << RA)
             # Callee may-clobbers are not kills: "may" cannot remove
             # liveness soundly.
-        for reg in inst.source_registers():
+        for reg in inst.sources:
             fact |= 1 << reg
         return fact
 
@@ -277,9 +279,9 @@ class ReachingDefsAnalysis(DataflowAnalysis[ReachingFact]):
             for reg in mask_iter(effects.clobbered & ~(1 << RA)):
                 have = out.get(reg)
                 out[reg] = site if have is None else have | site
-            out[inst.destination_register() or RA] = site
+            out[inst.dest or RA] = site
             return out
-        dest = inst.destination_register()
+        dest = inst.dest
         if dest is None:
             return fact
         out = dict(fact)
@@ -345,10 +347,10 @@ class ConstantRangeAnalysis(DataflowAnalysis[object]):
             effects = self._calls.get(pc, _UNKNOWN_CALL)
             out = {reg: iv for reg, iv in fact.items()
                    if not (effects.clobbered >> reg) & 1}
-            out[inst.destination_register() or RA] = Interval(
+            out[inst.dest or RA] = Interval(
                 pc + INSTRUCTION_BYTES, pc + INSTRUCTION_BYTES)
             return out
-        dest = inst.destination_register()
+        dest = inst.dest
         if dest is None:
             return fact
         value = self._evaluate(pc, inst, fact)
@@ -516,7 +518,7 @@ class SPDeltaAnalysis(DataflowAnalysis[object]):
         if (inst.op is Opcode.ADDI and inst.rd == SP
                 and inst.rs1 == SP):
             return TOP if fact is TOP else int(fact) + inst.imm  # type: ignore[call-overload]
-        if inst.destination_register() == SP:
+        if inst.dest == SP:
             return TOP
         return fact
 
@@ -547,9 +549,15 @@ class ProcedureSummary:
 class ProcedureSummaries:
     """Bottom-up interprocedural summaries over the call graph.
 
-    Recursion is handled by a fixpoint: effects only grow (and
-    ``sp_balanced`` only falls), both lattices are finite, so the
-    iteration terminates.
+    Both fixpoints (frame balance, then clobber/use) run on one
+    callee-first worklist (:meth:`_fixpoint`): every procedure is solved
+    once in post-order over the call graph, and afterwards a procedure
+    is re-solved only when the summary of one of its callees changed.
+    Recursion needs nothing more.  Every update is monotone and both
+    lattices are finite — ``sp_balanced`` only falls from True, and
+    ``clobbered``/``used`` only gain bits from their bottom (the
+    procedure's own unpreserved writes, and nothing) — so the worklist
+    empties at the same extreme fixpoint whatever the visiting order.
     """
 
     def __init__(self, cfg: RecoveredCFG,
@@ -560,6 +568,11 @@ class ProcedureSummaries:
         #: call-site pc -> callee names (possibly empty when unknown).
         self.site_targets: dict[int, tuple[str, ...]] = {
             site.pc: site.targets for site in callgraph.sites}
+        #: callee name -> the call-site pcs that may reach it.
+        self._sites_of: dict[str, list[int]] = {}
+        for pc, targets in self.site_targets.items():
+            for callee in targets:
+                self._sites_of.setdefault(callee, []).append(pc)
 
         procs = cfg.procedures
         local_writes: dict[str, int] = {}
@@ -575,31 +588,36 @@ class ProcedureSummaries:
                     inst = image.try_fetch(pc)
                     if inst is None:
                         continue
-                    dest = inst.destination_register()
-                    if dest is not None:
-                        writes |= 1 << dest
+                    if inst.dest is not None:
+                        writes |= 1 << inst.dest
                     if inst.is_call:
                         sites.append(pc)
             local_writes[proc.name] = writes
             call_pcs[proc.name] = sites
+        order = self._callee_first()
+
+        # The effects each call site sees, refreshed in place whenever a
+        # callee's summary changes; every analysis below reads this one
+        # map, so the stored results stay consistent with it.
+        self._balanced = {proc.name: True for proc in procs}
+        self._clobbered: dict[str, int] = {}
+        self._used: dict[str, int] = {}
+        self.call_effects: dict[int, CallEffects] = {
+            pc: self._site_effects(pc) for pc in self.site_targets}
 
         # -- frame balance fixpoint (balanced can only fall) -----------
-        balanced = {proc.name: True for proc in procs}
         self.sp_results: dict[str, DataflowResult[object]] = {}
-        for _ in range(len(procs) + 1):
-            effects = self._effects_map(balanced, {}, {})
-            changed = False
-            for proc in procs:
-                analysis = SPDeltaAnalysis(image, effects)
-                result = solve(analysis, cfg,
-                               graph=self._graphs[proc.name])
-                self.sp_results[proc.name] = result
-                ok = self._returns_balanced(proc, result)
-                if ok != balanced[proc.name]:
-                    balanced[proc.name] = ok
-                    changed = True
-            if not changed:
-                break
+
+        def solve_frame(name: str) -> bool:
+            result = solve(SPDeltaAnalysis(image, self.call_effects), cfg,
+                           graph=self._graphs[name])
+            self.sp_results[name] = result
+            ok = self._returns_balanced(result)
+            changed = ok != self._balanced[name]
+            self._balanced[name] = ok
+            return changed
+
+        self._fixpoint(order, solve_frame)
 
         # -- callee-saved detection (needs the final SP facts) ---------
         preserved = {proc.name: self._preserved_mask(
@@ -612,46 +630,95 @@ class ProcedureSummaries:
         # exactly the live-in fact of an exits-dead liveness solve —
         # which itself consumes the current effects estimate at call
         # sites, so it sits inside the same growing fixpoint as
-        # ``clobbered`` (both masks only gain bits; terminates).
-        clobbered = {p.name: local_writes[p.name] for p in procs}
-        used = {p.name: 0 for p in procs}
-        for _ in range(len(procs) + 1):
-            effects = self._effects_map(balanced, clobbered, used)
-            changed = False
-            for proc in procs:
-                clob = local_writes[proc.name]
-                for pc in call_pcs[proc.name]:
-                    targets = self.site_targets.get(pc, ())
-                    if not targets:
-                        clob |= ALL_REGS_MASK
-                        continue
-                    for callee in targets:
-                        clob |= clobbered.get(callee, ALL_REGS_MASK)
-                clob &= ~preserved[proc.name] & ~(1 << ZERO)
-                graph = self._graphs[proc.name]
-                use = 0
-                if graph.nodes:
-                    analysis = LivenessAnalysis(image, effects,
-                                                exit_boundary=0)
-                    live = solve(analysis, cfg, graph=graph)
-                    use = live.in_facts.get(proc.start, 0)
-                if clob != clobbered[proc.name] or use != used[proc.name]:
-                    clobbered[proc.name] = clob
-                    used[proc.name] = use
-                    changed = True
-            if not changed:
-                break
+        # ``clobbered``.  The solve a procedure ran last saw its
+        # callees' final summaries; it is kept in ``local_liveness``.
+        keep = {name: ~mask & ~(1 << ZERO)
+                for name, mask in preserved.items()}
+        self._clobbered = {name: writes & keep[name]
+                           for name, writes in local_writes.items()}
+        self._used = {proc.name: 0 for proc in procs}
+        for pc in self.call_effects:
+            self.call_effects[pc] = self._site_effects(pc)
+        #: procedure name -> its exits-dead liveness under the final
+        #: call effects (what :meth:`StaticFacts.liveness_local` serves).
+        self.local_liveness: dict[str, DataflowResult[int]] = {}
+
+        def solve_effects(name: str) -> bool:
+            clob = local_writes[name]
+            for pc in call_pcs[name]:
+                clob |= self.call_effects.get(pc, _UNKNOWN_CALL).clobbered
+            clob &= keep[name]
+            graph = self._graphs[name]
+            live = solve(LivenessAnalysis(image, self.call_effects,
+                                          exit_boundary=0),
+                         cfg, graph=graph)
+            self.local_liveness[name] = live
+            use = live.in_facts.get(graph.entry, 0)
+            changed = (clob != self._clobbered[name]
+                       or use != self._used[name])
+            self._clobbered[name] = clob
+            self._used[name] = use
+            return changed
+
+        self._fixpoint(order, solve_effects)
 
         self.summaries: dict[str, ProcedureSummary] = {
             proc.name: ProcedureSummary(
                 name=proc.name,
-                clobbered=clobbered[proc.name],
-                used=used[proc.name],
+                clobbered=self._clobbered[proc.name],
+                used=self._used[proc.name],
                 preserved=preserved[proc.name],
-                sp_balanced=balanced[proc.name],
+                sp_balanced=self._balanced[proc.name],
             ) for proc in procs}
-        self.call_effects: dict[int, CallEffects] = self._effects_map(
-            balanced, clobbered, used)
+
+    def _callee_first(self) -> list[str]:
+        """Procedure names in call-graph post-order: callees before
+        callers (members of a recursive cycle in DFS order), each DFS
+        rooted at the next unvisited procedure in address order and
+        visiting callees in name order."""
+        edges = self.callgraph.edges
+        order: list[str] = []
+        seen: set[str] = set()
+        for proc in self.cfg.procedures:
+            if proc.name in seen:
+                continue
+            seen.add(proc.name)
+            stack = [(proc.name, iter(sorted(edges.get(proc.name, ()))))]
+            while stack:
+                name, callees = stack[-1]
+                for callee in callees:
+                    if callee not in seen:
+                        seen.add(callee)
+                        stack.append(
+                            (callee, iter(sorted(edges.get(callee, ())))))
+                        break
+                else:
+                    stack.pop()
+                    order.append(name)
+        return order
+
+    def _fixpoint(self, order: list[str],
+                  update: Callable[[str], bool]) -> None:
+        """Run ``update`` over ``order`` until no summary changes.
+
+        ``update(name)`` re-solves one procedure and says whether its
+        summary changed; only then are the call sites that may target
+        it refreshed and its callers queued again.
+        """
+        work = deque(order)
+        queued = set(order)
+        callers = self.callgraph.callers
+        while work:
+            name = work.popleft()
+            queued.discard(name)
+            if not update(name):
+                continue
+            for pc in self._sites_of.get(name, ()):
+                self.call_effects[pc] = self._site_effects(pc)
+            for caller in sorted(callers[name]):
+                if caller not in queued:
+                    queued.add(caller)
+                    work.append(caller)
 
     # ------------------------------------------------------------------
     def __getitem__(self, name: str) -> ProcedureSummary:
@@ -660,26 +727,20 @@ class ProcedureSummaries:
     def __contains__(self, name: str) -> bool:
         return name in self.summaries
 
-    def _effects_map(self, balanced: dict[str, bool],
-                     clobbered: dict[str, int],
-                     used: dict[str, int]) -> dict[int, CallEffects]:
-        effects: dict[int, CallEffects] = {}
-        for pc, targets in self.site_targets.items():
-            if not targets:
-                effects[pc] = _UNKNOWN_CALL
-                continue
-            clob = use = 0
-            ok = True
-            for callee in targets:
-                clob |= clobbered.get(callee, ALL_REGS_MASK)
-                use |= used.get(callee, ALL_REGS_MASK)
-                ok = ok and balanced.get(callee, False)
-            effects[pc] = CallEffects(clobbered=clob, used=use,
-                                      sp_balanced=ok)
-        return effects
+    def _site_effects(self, pc: int) -> CallEffects:
+        """Join of the current summaries of every callee of one site."""
+        targets = self.site_targets[pc]
+        if not targets:
+            return _UNKNOWN_CALL
+        clob = use = 0
+        ok = True
+        for callee in targets:
+            clob |= self._clobbered.get(callee, ALL_REGS_MASK)
+            use |= self._used.get(callee, ALL_REGS_MASK)
+            ok = ok and self._balanced.get(callee, False)
+        return CallEffects(clobbered=clob, used=use, sp_balanced=ok)
 
-    def _returns_balanced(self, proc: ProcedureRange,
-                          result: DataflowResult[object]) -> bool:
+    def _returns_balanced(self, result: DataflowResult[object]) -> bool:
         """Every reachable return leaves SP at delta zero."""
         for start in result.graph.nodes:
             block = self.cfg.blocks[start]
@@ -721,7 +782,7 @@ class ProcedureSummaries:
                     and not (defined >> inst.rs2) & 1
                     and inst.rs2 not in candidates):
                 candidates[inst.rs2] = fact + inst.imm
-            dest = inst.destination_register()
+            dest = inst.dest
             if dest is not None:
                 defined |= 1 << dest
             if inst.is_call:
@@ -763,8 +824,8 @@ class ProcedureSummaries:
                         if (inst.rd == reg
                                 and fact + inst.imm == slot):
                             restored[reg] = True
-                elif inst.destination_register() in preserved:
-                    restored[inst.destination_register()] = False  # type: ignore[index]
+                elif inst.dest in preserved:
+                    restored[inst.dest] = False  # type: ignore[index]
             if start in returns:
                 for reg in list(preserved):
                     if not restored.get(reg, False):
@@ -830,7 +891,7 @@ def bound_trip_counts(facts: "StaticFacts",
                 inst = image.try_fetch(pc)
                 if inst is None:
                     continue
-                dest = inst.destination_register()
+                dest = inst.dest
                 if dest == limit:
                     well_formed = False     # limit not loop-invariant
                 elif dest == counter:
@@ -914,7 +975,7 @@ def table_load_slice(facts: "StaticFacts", proc: ProcedureRange,
     for row_pc, row_inst, row_fact in rows:
         if row_pc >= pc:
             break
-        if row_inst.destination_register() == target:
+        if row_inst.dest == target:
             if row_inst.op is Opcode.LW and isinstance(row_fact, dict):
                 load = (row_pc, row_inst, row_fact)
             else:
@@ -965,8 +1026,10 @@ class StaticFacts:
     """Lazily computed, memoised analysis results for one image.
 
     The verifier's dataflow rules and the trace predictor both pull
-    from one instance, so each (analysis, procedure) pair is solved at
-    most once per image.
+    from one instance, so no consumer solves an (analysis, procedure)
+    pair twice: full liveness, reaching definitions and constant
+    ranges are solved on first use, and the SP-delta and exits-dead
+    liveness results are the ones the summary fixpoint solved last.
     """
 
     def __init__(self, image: ProgramImage,
@@ -979,7 +1042,6 @@ class StaticFacts:
         self._dominators: dict[int, DominatorTree] = {}
         self._loops: dict[int, list[NaturalLoop]] = {}
         self._liveness: dict[int, DataflowResult[int]] = {}
-        self._liveness_local: dict[int, DataflowResult[int]] = {}
         self._reaching: dict[int, DataflowResult[ReachingFact]] = {}
         self._constants: dict[int, DataflowResult[object]] = {}
         self._trip_bounds: dict[int, dict[int, TripBound]] = {}
@@ -1033,16 +1095,12 @@ class StaticFacts:
         return result
 
     def liveness_local(self, proc: ProcedureRange) -> DataflowResult[int]:
-        """Liveness restricted to intra-procedural uses (exits dead)."""
-        result = self._liveness_local.get(proc.start)
-        if result is None:
-            analysis = LivenessAnalysis(self.image,
-                                        self.summaries.call_effects,
-                                        exit_boundary=0)
-            result = solve(analysis, self.cfg,
-                           graph=self.flow_graph(proc))
-            self._liveness_local[proc.start] = result
-        return result
+        """Liveness restricted to intra-procedural uses (exits dead).
+
+        This is the solve the summary fixpoint ran last for ``proc``,
+        under the final call effects, so it is never solved again.
+        """
+        return self.summaries.local_liveness[proc.name]
 
     def reaching(self, proc: ProcedureRange
                  ) -> DataflowResult[ReachingFact]:

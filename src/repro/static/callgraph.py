@@ -83,6 +83,13 @@ class StaticCallGraph:
                         self._makes_indirect.add(proc.name)
                         self.edges[proc.name].update(targets)
 
+        #: Reverse edges: callee name -> names of its callers.
+        self.callers: dict[str, set[str]] = {p.name: set()
+                                             for p in cfg.procedures}
+        for caller, callees in self.edges.items():
+            for callee in callees:
+                self.callers[callee].add(caller)
+
         self.entry_procedure = self._entry_procedure_name()
         self.live: set[str] = self._liveness()
         self.max_call_depth: Optional[int] = self._max_depth()
@@ -134,8 +141,7 @@ class StaticCallGraph:
 
     # ------------------------------------------------------------------
     def callers_of(self, name: str) -> set[str]:
-        return {caller for caller, callees in self.edges.items()
-                if name in callees}
+        return set(self.callers.get(name, ()))
 
     def call_target_names(self) -> set[str]:
         """Every procedure some call site can reach."""

@@ -1,5 +1,8 @@
 """Unit tests for the ISA: opcodes, instruction classification, registers."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from repro.isa import (
@@ -14,6 +17,7 @@ from repro.isa import (
     register_name,
     ret,
 )
+from repro.isa.opcodes import OP_INFO
 
 
 class TestRegisters:
@@ -96,6 +100,52 @@ class TestRegisterUsage:
     def test_immediate_op_reads_one(self):
         inst = Instruction(Opcode.ADDI, rd=1, rs1=2, imm=7)
         assert inst.source_registers() == (2,)
+
+
+def _expected_use_def(inst):
+    """Register use/def derived from :data:`OP_INFO` on the spot."""
+    meta = OP_INFO[inst.op]
+    sources = tuple(reg for reads, reg in ((meta.reads_rs1, inst.rs1),
+                                           (meta.reads_rs2, inst.rs2))
+                    if reads and reg != ZERO)
+    dest = inst.rd if meta.writes_rd and inst.rd != ZERO else None
+    return sources, dest
+
+
+class TestDecodedUseDef:
+    """``sources``/``dest`` are decoded once in ``__post_init__``."""
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+    def test_match_op_info_for_every_operand_shape(self, op):
+        for rd, rs1, rs2 in itertools.product((0, 7), (0, 9), (0, 11)):
+            inst = Instruction(op, rd=rd, rs1=rs1, rs2=rs2)
+            sources, dest = _expected_use_def(inst)
+            assert inst.sources == sources
+            assert inst.dest == dest
+            assert inst.source_registers() == sources
+            assert inst.destination_register() == dest
+
+    def test_excluded_from_eq_hash_and_repr(self):
+        fields = {f.name: f for f in dataclasses.fields(Instruction)}
+        for name in ("sources", "dest"):
+            assert not fields[name].init
+            assert not fields[name].compare
+            assert not fields[name].repr
+        inst = Instruction(Opcode.ADD, rd=3, rs1=1, rs2=2)
+        assert "sources" not in repr(inst) and "dest" not in repr(inst)
+        assert repr(inst) == ("Instruction(op=<Opcode.ADD: 'add'>, rd=3, "
+                              "rs1=1, rs2=2, imm=0, sh1=0, sh2=0)")
+        twin = Instruction(Opcode.ADD, rd=3, rs1=1, rs2=2)
+        assert inst == twin and hash(inst) == hash(twin)
+
+    def test_rewrites_recompute_them(self):
+        inst = Instruction(Opcode.ADD, rd=3, rs1=1, rs2=2)
+        store = inst.with_fields(op=Opcode.SW)
+        assert (store.sources, store.dest) == ((1, 2), None)
+        cleared = dataclasses.replace(inst, rd=0, rs1=0)
+        assert (cleared.sources, cleared.dest) == ((2,), None)
+        immediate = dataclasses.replace(inst, op=Opcode.ADDI, rs2=0)
+        assert (immediate.sources, immediate.dest) == ((1,), 3)
 
 
 class TestOpInfo:

@@ -9,7 +9,9 @@ matcher it subsumes).
 
 import pytest
 
+import repro.static.analyses as analyses_mod
 from repro.isa import INSTRUCTION_BYTES, assemble
+from repro.isa.registers import RA, SP
 from repro.program import ProgramImage
 from repro.static import (
     ALL_REGS_MASK,
@@ -19,12 +21,14 @@ from repro.static import (
     Direction,
     Interval,
     LivenessAnalysis,
+    ProcedureSummaries,
     ReachingDefsAnalysis,
     StaticFacts,
     build_flow_graph,
     resolve_table_via_dataflow,
     solve,
 )
+from repro.static.analyses import mask_of
 from repro.static.recovery import resolve_indirect_table
 from repro.workloads import generate, profile_for
 
@@ -250,6 +254,136 @@ class TestSummaries:
         assert (outer.used >> 6) & 1       # exposed through the call
         # r4 is defined locally before any use: not upward-exposed.
         assert not (outer.used >> 4) & 1
+
+
+def _regs(*regs: int) -> int:
+    return mask_of(iter(regs))
+
+
+class TestRecursiveSummaries:
+    """Summaries over cyclic call graphs, checked against masks derived
+    by hand as the least fixpoint of the summary equations."""
+
+    # a <-> b, both reaching c; c saves, writes and restores r16.
+    MUTUAL = """
+    main:
+        addi r2, r0, 1
+        jal a
+        halt
+    a:
+        addi r4, r2, 1
+        beq r4, r0, a_out
+        jal b
+    a_out:
+        jal c
+        jr ra
+    b:
+        addi r5, r3, 0
+        jal a
+        jr ra
+    c:
+        addi sp, sp, -4
+        sw r16, 0(sp)
+        addi r16, r6, 1
+        lw r16, 0(sp)
+        addi sp, sp, 4
+        jr ra
+    """
+
+    SELF = """
+    main:
+        jal f
+        halt
+    f:
+        addi sp, sp, -8
+        sw ra, 0(sp)
+        beq r7, r0, f_out
+        addi r7, r7, -1
+        jal f
+    f_out:
+        lw ra, 0(sp)
+        addi sp, sp, 8
+        jr ra
+    """
+
+    # g calls through a register no table feeds: no resolvable target.
+    INDIRECT = """
+    main:
+        jal g
+        halt
+    g:
+        addi r8, r9, 0
+        jalr ra, r8
+        jr ra
+    """
+
+    @staticmethod
+    def _table(facts: StaticFacts) -> dict[str, tuple[int, int, int, bool]]:
+        return {name: (s.clobbered, s.used, s.preserved, s.sp_balanced)
+                for name, s in facts.summaries.summaries.items()}
+
+    def test_mutual_recursion_through_a_callee_saving_helper(self):
+        facts = _facts(self.MUTUAL, ["main", "a", "b", "c"])
+        # c's own r16 write is restored, so no caller may inherit it:
+        # the cycle a <-> b must not keep r16 alive between its members.
+        ab_used = _regs(2, 3, 6, 16, SP)
+        assert self._table(facts) == {
+            "c": (_regs(SP), _regs(6, 16, SP, RA), _regs(16), True),
+            "a": (_regs(4, 5, SP), ab_used, 0, True),
+            "b": (_regs(4, 5, SP), ab_used, 0, True),
+            "main": (_regs(2, 4, 5, SP), _regs(3, 6, 16, SP), 0, True),
+        }
+
+    def test_self_recursion(self):
+        facts = _facts(self.SELF, ["main", "f"])
+        assert self._table(facts) == {
+            "f": (_regs(7, SP), _regs(7, SP, RA), _regs(RA), True),
+            "main": (_regs(7, SP), _regs(7, SP), 0, True),
+        }
+
+    def test_unresolved_indirect_call_is_conservative(self):
+        facts = _facts(self.INDIRECT, ["main", "g"])
+        jalr_pc = facts.cfg.procedure("g").start + INSTRUCTION_BYTES
+        assert facts.summaries.site_targets[jalr_pc] == ()
+        effects = facts.summaries.call_effects[jalr_pc]
+        assert (effects.clobbered, effects.used, effects.sp_balanced) \
+            == (ALL_REGS_MASK, ALL_REGS_MASK, False)
+        used = ALL_REGS_MASK & ~_regs(8, RA)
+        assert self._table(facts) == {
+            "g": (ALL_REGS_MASK, used, 0, False),
+            "main": (ALL_REGS_MASK, used, 0, True),
+        }
+
+    def test_served_local_liveness_matches_a_fresh_solve(self):
+        facts = _facts(self.MUTUAL, ["main", "a", "b", "c"])
+        for proc in facts.cfg.procedures:
+            served = facts.liveness_local(proc)
+            fresh = solve(LivenessAnalysis(facts.image,
+                                           facts.summaries.call_effects,
+                                           exit_boundary=0),
+                          facts.cfg, graph=facts.flow_graph(proc))
+            assert served.in_facts == fresh.in_facts
+            assert served.out_facts == fresh.out_facts
+
+    def test_gcc_solves_each_procedure_about_once(self, monkeypatch):
+        """The callee-first worklist re-solves a procedure only when a
+        callee's summary changed, so a call graph without recursion
+        costs about one exits-dead liveness solve per procedure."""
+        image = generate(profile_for("gcc"), verify=False).image
+        facts = StaticFacts(image)
+        cfg, callgraph = facts.cfg, facts.callgraph
+        solves = []
+        real_solve = analyses_mod.solve
+
+        def counting_solve(analysis, *args, **kwargs):
+            if isinstance(analysis, LivenessAnalysis):
+                solves.append(analysis)
+            return real_solve(analysis, *args, **kwargs)
+
+        monkeypatch.setattr(analyses_mod, "solve", counting_solve)
+        ProcedureSummaries(cfg, callgraph)
+        assert len(cfg.procedures) <= len(solves) \
+            <= 2 * len(cfg.procedures)
 
 
 class TestTripBounds:
