@@ -203,13 +203,22 @@ class CheckBundle:
 
         The stream is fed record by record through the fresh
         simulation's own selector, so no image, stream record or
-        interned trace object is shared with :attr:`event_run`.
+        interned trace object is shared with :attr:`event_run`.  Its
+        preconstruction engine never serves a walk script: every start
+        point is walked live, so this leg certifies the replay of
+        :attr:`event_run`.
         """
+        from repro.core.preconstructor import NoWalkScripts
         from repro.obs import ObsBus, RingBufferSink
 
         sink = RingBufferSink(capacity=None)
         simulation = FrontendSimulation(self.second_workload.image,
                                         self.config, obs=ObsBus(sink))
+        engine = simulation.precon
+        if engine is not None:
+            engine.walk_scripts = NoWalkScripts()
+            for constructor in engine.constructors:
+                constructor.scripts = engine.walk_scripts
         result = simulation.run(self.second_stream)
         return result, list(sink.events)
 

@@ -77,6 +77,9 @@ class PreconstructionStats:
     buffer_hits: int = 0
     idle_cycles_offered: int = 0
     decode_steps: int = 0
+    #: Decode steps served from a walk script (a subset of
+    #: ``decode_steps``).
+    replayed_steps: int = 0
     port_cycles_used: int = 0
     port_overdraft_carried: int = 0
     static_seeds_offered: int = 0
@@ -107,13 +110,15 @@ class PreconstructionEngine:
             PrefetchCache(cfg.prefetch_cache_instructions)
             for _ in range(cfg.num_prefetch_caches)]
         decode_cache: dict = {}
+        #: Walk scripts by (start pc, call stack), recorded and replayed
+        #: by every constructor of this engine (see the preconstructor
+        #: module docstring).
+        self.walk_scripts: dict = {}
         self.constructors = [
             TraceConstructor(image, icache, bimodal, self.selection,
-                             cfg.constructor, decode_cache=decode_cache)
-            for _ in range(cfg.num_constructors)]
-        for cid, constructor in enumerate(self.constructors):
-            constructor.cid = cid
-            constructor._obs_assigned = 0
+                             cfg.constructor, decode_cache=decode_cache,
+                             scripts=self.walk_scripts, cid=cid)
+            for cid in range(cfg.num_constructors)]
         self._active_regions: list[Region] = []
         self._regions_by_seq: dict[int, Region] = {}
         self._next_seq = 0
@@ -286,16 +291,15 @@ class PreconstructionEngine:
                 region = constructor.region
                 if region is None:
                     continue  # released mid-round (its region finished)
-                # needs_line_fetch() inlined (one call per walked
-                # instruction): the region is known non-None here.
+                # The next step uses the I-cache port when its line is
+                # not in the region's prefetch cache.
                 pc = constructor._pc
                 needs_fetch = (pc is not None and
                                not region.prefetch_cache.contains(pc))
                 if needs_fetch and port_budget <= 0:
                     continue  # stalled on the I-cache port
                 result = constructor.step(needs_fetch)
-                # Every step costs exactly one decode slot
-                # (StepResult.decode_cost is invariantly 1); only fetch
+                # Every step costs exactly one decode slot; only fetch
                 # steps touch the port, so skip the arithmetic otherwise.
                 decode_budget -= 1
                 decode_steps += 1
@@ -309,7 +313,10 @@ class PreconstructionEngine:
                 progressed = True
             if not progressed:
                 break
-        stats.decode_steps += decode_steps
+        if decode_steps:
+            stats.decode_steps += decode_steps
+            stats.replayed_steps = sum(c.replayed_steps
+                                       for c in constructors)
         stats.port_cycles_used += port_used
         if self.obs and port_used:
             self.obs.metrics.on_port_cycles(self.obs.now, port_used)

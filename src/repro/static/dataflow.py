@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import Generic, Iterable, Optional, TypeVar
 
-from repro.isa import INSTRUCTION_BYTES, Instruction
+from repro.isa import Instruction
 from repro.program.image import ProgramImage
-from repro.static.recovery import BlockInfo, ProcedureRange, RecoveredCFG
+from repro.static.recovery import ProcedureRange, RecoveredCFG
 
 F = TypeVar("F")
 
@@ -171,16 +171,17 @@ class DataflowAnalysis(Generic[F]):
         return new
 
     # -- transfer ------------------------------------------------------
-    def transfer_block(self, block: BlockInfo, fact: F) -> F:
-        """Fold the per-instruction transfer across ``block``."""
-        addresses: Iterator[int] = block.addresses()
+    def transfer_block(self, code: tuple[tuple[int, Instruction], ...],
+                       fact: F) -> F:
+        """Fold the per-instruction transfer across one block's decoded
+        ``code`` (:meth:`RecoveredCFG.block_code`), in the analysis
+        direction."""
+        rows: Iterable[tuple[int, Instruction]] = code
         if self.direction is Direction.BACKWARD:
-            addresses = reversed(range(block.start, block.end,
-                                       INSTRUCTION_BYTES))
-        for pc in addresses:
-            inst = self.image.try_fetch(pc)
-            if inst is not None:
-                fact = self.transfer_instruction(pc, inst, fact)
+            rows = reversed(code)
+        transfer = self.transfer_instruction
+        for pc, inst in rows:
+            fact = transfer(pc, inst, fact)
         return fact
 
     def transfer_instruction(self, pc: int, inst: Instruction,
@@ -213,25 +214,17 @@ class DataflowResult(Generic[F]):
         side a consumer almost always wants — e.g. liveness after a
         definition decides whether the definition is dead).
         """
-        block = cfg.blocks[block_start]
+        code = cfg.block_code(block_start)
         analysis = self.analysis
-        image = analysis.image
         rows: list[tuple[int, Instruction, F]] = []
         if analysis.direction is Direction.FORWARD:
             fact = self.in_facts[block_start]
-            for pc in block.addresses():
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in code:
                 rows.append((pc, inst, fact))
                 fact = analysis.transfer_instruction(pc, inst, fact)
         else:
             fact = self.out_facts[block_start]
-            for pc in reversed(range(block.start, block.end,
-                                     INSTRUCTION_BYTES)):
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in reversed(code):
                 # Walking backward, the held fact is the one *after*
                 # ``pc`` in program order: record it, then transfer.
                 rows.append((pc, inst, fact))
@@ -284,7 +277,7 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != in_facts[node]:
                     in_facts[node] = fact
                     changed = True
-                new_out = analysis.transfer_block(cfg.blocks[node], fact)
+                new_out = analysis.transfer_block(cfg.block_code(node), fact)
                 if new_out != out_facts[node]:
                     out_facts[node] = new_out
                     changed = True
@@ -300,7 +293,7 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != out_facts[node]:
                     out_facts[node] = fact
                     changed = True
-                new_in = analysis.transfer_block(cfg.blocks[node], fact)
+                new_in = analysis.transfer_block(cfg.block_code(node), fact)
                 if new_in != in_facts[node]:
                     in_facts[node] = new_in
                     changed = True
